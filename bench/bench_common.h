@@ -99,8 +99,8 @@ inline void PrintHeader(const char* title) {
 /// Record schema — the file is one flat JSON array; every element is an
 /// object with exactly these seven keys, in this order:
 ///
-///   {"bench":  "fig6",                    // emitting binary / figure
-///    "config": "backend=thread,n=12",     // "key=value,..." data point;
+///   {"bench":  "fig10",                   // emitting binary / figure
+///    "config": "backend=async,n=12",      // "key=value,..." data point;
 ///                                         //   keys are bench-specific,
 ///                                         //   values never contain ','
 ///    "metric": "latency_p95",             // measurement name

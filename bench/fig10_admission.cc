@@ -27,7 +27,7 @@
 // Flags:
 //   --json=<path>    machine-readable records (BenchJsonWriter schema)
 //   --smoke          shortened overload run — the CI configuration
-//   --backends=<csv> phase-2 backends (default thread,process,async,rpc;
+//   --backends=<csv> phase-2 backends (default async,rpc;
 //                    rpc self-hosts mpqopt_worker subprocesses and is
 //                    skipped with a notice when the binary is missing)
 //
@@ -97,12 +97,10 @@ OverloadResult RunOverload(const std::vector<ArrivalPlan>& arrivals,
                            double interarrival_ms, bool admission,
                            int pool_threads) {
   ServiceOptions service_opts;
-  // The thread backend — one freshly spawned pool per worker round — is
-  // the backend that actually degrades under unbounded concurrency
-  // (fig6 showed the persistent pool interleaving fairly; admission is
-  // the cure for the backends and machines where that fairness is not
-  // available).
-  service_opts.backend_kind = BackendKind::kThread;
+  // Admission OFF lets every arrival submit at once: the pool interleaves
+  // all in-flight rounds fairly, so each query's latency grows with the
+  // number of queries in service.
+  service_opts.backend_kind = BackendKind::kAsyncBatch;
   service_opts.network = NetworkFromEnv();
   service_opts.backend_threads = pool_threads;
   service_opts.enable_admission = admission;
@@ -203,7 +201,7 @@ int main(int argc, char** argv) {
   const BenchConfig config = BenchConfig::FromEnv();
 
   bool smoke = false;
-  std::string backends_csv = "thread,process,async,rpc";
+  std::string backends_csv = "async,rpc";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -212,7 +210,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nusage: %s [--smoke] [--json=PATH] "
-                   "[--backends=thread,process,async,rpc]\n",
+                   "[--backends=async,rpc]\n",
                    argv[i], argv[0]);
       return 2;
     }

@@ -5,8 +5,8 @@
 // Drives the versioned workloads in bench/workloads/*.mbw (see
 // src/workload/workload_spec.h for the format) through the full serving
 // stack — OptimizerService with the plan cache on, SMA queries through
-// the session layer — on every execution backend: thread, process,
-// async, and rpc self-hosted on loopback mpqopt_worker subprocesses
+// the session layer — on both execution backends: the in-process async
+// pool, and rpc self-hosted on loopback mpqopt_worker subprocesses
 // (set MPQOPT_WORKER_BIN or run from the build directory; the rpc sweep
 // is skipped with a notice when the worker binary is not runnable).
 //
@@ -32,7 +32,7 @@
 //   --workloads=<dir>    directory of .mbw files (default: the
 //                        checked-in bench/workloads/, baked in at
 //                        compile time; MPQOPT_WORKLOAD_DIR overrides)
-//   --backends=<csv>     subset of thread,process,async,rpc
+//   --backends=<csv>     subset of async,rpc (default both)
 //   --trace-out=<path>   per-query span traces as Chrome trace-event
 //                        JSON (also enables the admission layer with
 //                        effectively unlimited slots, so the traces
@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
   if (const char* env = std::getenv("MPQOPT_WORKLOAD_DIR")) {
     workload_dir = env;
   }
-  std::string backends_csv = "thread,process,async,rpc";
+  std::string backends_csv = "async,rpc";
   std::string trace_out;
   std::string scrape_out;
   std::string flight_out;
@@ -299,7 +299,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nusage: %s [--smoke] [--json=PATH] "
-                   "[--workloads=DIR] [--backends=thread,process,async,rpc] "
+                   "[--workloads=DIR] [--backends=async,rpc] "
                    "[--trace-out=PATH] [--telemetry-port=PORT] "
                    "[--scrape-out=PATH] [--flight-out=PATH]\n",
                    argv[i], argv[0]);

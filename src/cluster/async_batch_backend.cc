@@ -45,15 +45,9 @@ struct AsyncBatchBackend::ActiveRound {
   bool done = false;
 };
 
-AsyncBatchBackend::AsyncBatchBackend(NetworkModel model, int pool_threads)
+AsyncBatchBackend::AsyncBatchBackend(NetworkModel model, int helper_threads)
     : ExecutionBackend(model) {
-  int threads = pool_threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  pool_.reserve(static_cast<size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
+  for (int i = 0; i < helper_threads; ++i) {
     pool_.emplace_back([this]() { WorkerLoop(); });
   }
 }

@@ -1,24 +1,23 @@
 // Copyright 2026 mpqopt authors.
 //
-// Persistent-pool execution for serving workloads. ThreadBackend pays a
-// thread spawn + join for every round — fine for one benchmark query,
-// wasteful when a service pushes many concurrent optimizer rounds per
-// second. AsyncBatchBackend keeps a fixed pool of host threads alive for
-// the backend's lifetime and pipelines rounds through it:
+// In-process execution on a persistent pool. AsyncBatchBackend keeps a
+// fixed pool of helper threads alive for the backend's lifetime and
+// pipelines rounds through it:
 //
 //  * Rounds submitted concurrently from any number of threads share the
-//    pool; their tasks are interleaved fairly (each pool thread claims at
-//    most one task per active round per pass, round-robin), so one large
+//    pool; their tasks are interleaved fairly (each helper claims at most
+//    one task per active round per pass, round-robin), so one large
 //    query cannot starve the small ones behind it.
 //  * Task handoff is lock-free on the hot path: claiming a task is a
 //    single fetch_add on the round's atomic cursor. A mutex is touched
-//    only when a round arrives or retires and when an idle worker parks.
+//    only when a round arrives or retires and when an idle helper parks.
 //  * The submitting thread does not just block: it helps drain its own
 //    round, so a single-threaded caller still makes progress even when
-//    the pool is busy with other rounds.
+//    the pool is busy with other rounds. With zero helpers the submitter
+//    runs every task itself, inline.
 //
 // Responses, per-task compute measurement, traffic accounting, and the
-// modeled cluster time are identical to the other backends (shared
+// modeled cluster time are identical to the rpc backend (shared
 // FinalizeRound); only the host-side scheduling differs.
 
 #ifndef MPQOPT_CLUSTER_ASYNC_BATCH_BACKEND_H_
@@ -36,8 +35,9 @@ namespace mpqopt {
 /// across concurrently submitting threads.
 class AsyncBatchBackend : public ExecutionBackend {
  public:
-  /// `pool_threads` fixes the pool size (0 = hardware concurrency).
-  explicit AsyncBatchBackend(NetworkModel model, int pool_threads = 0);
+  /// Spawns exactly `helper_threads` pool threads; 0 spawns none, and
+  /// every task then runs on the thread that submitted its round.
+  AsyncBatchBackend(NetworkModel model, int helper_threads);
   ~AsyncBatchBackend() override;
 
   MPQOPT_DISALLOW_COPY_AND_ASSIGN(AsyncBatchBackend);

@@ -2,10 +2,10 @@
 
 #include "cluster/backend.h"
 
+#include <thread>
+
 #include "cluster/async_batch_backend.h"
-#include "cluster/process_backend.h"
 #include "cluster/rpc_backend.h"
-#include "cluster/thread_backend.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
@@ -84,11 +84,16 @@ struct BackendNameEntry {
 };
 
 constexpr BackendNameEntry kBackendNames[] = {
-    {BackendKind::kThread, "thread", "threads"},
-    {BackendKind::kProcess, "process", "processes"},
     {BackendKind::kAsyncBatch, "async", "async-batch"},
     {BackendKind::kRpc, "rpc", "remote"},
 };
+
+/// `max_threads`, or hardware concurrency (at least 1) when it is <= 0.
+int ResolveThreads(int max_threads) {
+  if (max_threads > 0) return max_threads;
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  return cores > 0 ? cores : 1;
+}
 
 }  // namespace
 
@@ -131,17 +136,10 @@ std::string BackendKindList() {
 StatusOr<std::shared_ptr<ExecutionBackend>> MakeBackend(
     BackendKind kind, const BackendOptions& options) {
   switch (kind) {
-    case BackendKind::kThread:
-      return std::shared_ptr<ExecutionBackend>(
-          std::make_shared<ThreadBackend>(options.network,
-                                          options.max_threads));
-    case BackendKind::kProcess:
-      return std::shared_ptr<ExecutionBackend>(
-          std::make_shared<ProcessBackend>(options.network));
     case BackendKind::kAsyncBatch:
       return std::shared_ptr<ExecutionBackend>(
-          std::make_shared<AsyncBatchBackend>(options.network,
-                                              options.max_threads));
+          std::make_shared<AsyncBatchBackend>(
+              options.network, ResolveThreads(options.max_threads)));
     case BackendKind::kRpc: {
       const std::vector<std::string> endpoints =
           SplitEndpoints(options.workers_addr);
@@ -175,10 +173,17 @@ std::shared_ptr<ExecutionBackend> MakeBackend(BackendKind kind,
   options.max_threads = max_threads;
   StatusOr<std::shared_ptr<ExecutionBackend>> backend =
       MakeBackend(kind, options);
-  // Only the in-process kinds may take this path (see header); their
+  // Only the in-process kind may take this path (see header); its
   // construction cannot fail.
   MPQOPT_CHECK(backend.ok());
   return std::move(backend).value();
+}
+
+std::shared_ptr<ExecutionBackend> MakeDefaultBackend(NetworkModel model,
+                                                     int max_threads) {
+  // The submitter drains its own round, so one thread fewer helps it.
+  return std::make_shared<AsyncBatchBackend>(model,
+                                             ResolveThreads(max_threads) - 1);
 }
 
 }  // namespace mpqopt

@@ -5,23 +5,21 @@
 // Worker tasks are self-contained functions from request bytes to response
 // bytes — exactly the contract a remote executor would have. Tasks never
 // touch shared optimizer state; the only inter-node channel is the
-// serialized messages. A backend decides how those tasks are hosted on
-// this machine:
+// serialized messages. A backend decides where those tasks run:
 //
-//  * ThreadBackend     — a thread pool spawned per round (default; cheap,
-//                        easy to debug).
-//  * ProcessBackend    — one forked OS process per task; the strictest
-//                        single-machine approximation of a shared-nothing
-//                        cluster (worker memory is genuinely private).
-//  * AsyncBatchBackend — a persistent worker pool that stays alive across
-//                        rounds and interleaves tasks from concurrently
-//                        submitted rounds; the serving-shaped runtime that
-//                        OptimizerService multiplexes many queries onto.
-//  * RpcBackend        — tasks run in separate mpqopt_worker processes
-//                        reached over TCP (see cluster/rpc_backend.h); the
-//                        same byte contract, now on a real wire.
+//  * AsyncBatchBackend — in this process, on a persistent pool that stays
+//                        alive across rounds and interleaves tasks from
+//                        concurrently submitted rounds; the submitting
+//                        thread helps drain its own round, so a pool of
+//                        zero helpers runs every task inline. The runtime
+//                        behind every null-backend default and
+//                        OptimizerService.
+//  * RpcBackend        — in separate mpqopt_worker processes reached over
+//                        TCP (see cluster/rpc_backend.h): real
+//                        shared-nothing workers, the same byte contract
+//                        on a real wire.
 //
-// All backends produce identical responses and identical byte counts for
+// Both backends produce identical responses and identical byte counts for
 // the same tasks (asserted by tests/backend_test.cc); the modeled cluster
 // time and traffic accounting is shared (FinalizeRound), so the numbers
 // reported by the benchmarks do not depend on the hosting choice. Every
@@ -173,16 +171,15 @@ class ExecutionBackend {
   /// Opens a stateful session: one replica per entry of `open_requests`,
   /// built by the registered kind's open function (see
   /// cluster/session/stateful_task.h). The default implementation hosts
-  /// the replicas in this process and runs scatter steps through
-  /// RunRound (cluster/session/local_session.h) — correct for every
-  /// in-process backend; RpcBackend overrides it with the wire protocol.
+  /// the replicas in this process and runs every round through RunRound
+  /// (cluster/session/local_session.h); RpcBackend overrides it with the
+  /// wire protocol.
   /// The handle must not outlive this backend.
   virtual StatusOr<std::unique_ptr<SessionHandle>> OpenSession(
       StatefulTaskKind kind,
       const std::vector<std::vector<uint8_t>>& open_requests);
 
-  /// Short human-readable backend name ("thread", "process", "async",
-  /// "rpc").
+  /// Short human-readable backend name ("async", "rpc").
   virtual const char* name() const = 0;
 
   /// Internal (atomic) session counters, shared by pointer with the
@@ -227,20 +224,18 @@ class ExecutionBackend {
 
 /// Selects a backend implementation by name.
 enum class BackendKind : uint8_t {
-  kThread = 0,     ///< per-round thread pool (default; cheap)
-  kProcess = 1,    ///< forked processes — strict shared-nothing isolation
-  kAsyncBatch = 2, ///< persistent pool, pipelined multi-round dispatch
-  kRpc = 3,        ///< remote mpqopt_worker processes over TCP
+  kAsyncBatch = 0,  ///< in-process persistent pool, pipelined rounds
+  kRpc = 1,         ///< remote mpqopt_worker processes over TCP
 };
 
-/// Name of a backend kind ("thread" / "process" / "async" / "rpc").
+/// Name of a backend kind ("async" / "rpc").
 const char* BackendKindName(BackendKind kind);
 
 /// Parses a backend name as accepted by the CLI's --backend= flag.
 /// The error message enumerates every accepted kind.
 StatusOr<BackendKind> ParseBackendKind(const std::string& name);
 
-/// "thread|process|async|rpc" — the canonical names of every backend
+/// "async|rpc" — the canonical names of every backend
 /// kind, for --help text and error messages. Generated from the same
 /// table as BackendKindName/ParseBackendKind, so it can never go stale.
 std::string BackendKindList();
@@ -250,11 +245,11 @@ std::string BackendKindList();
 struct BackendOptions {
   /// Simulated-cluster parameters (all kinds).
   NetworkModel network;
-  /// Host-side concurrency cap for the thread and async backends
-  /// (0 = hardware concurrency).
+  /// Helper threads of the async backend's pool (0 = hardware
+  /// concurrency); the submitting thread runs tasks too.
   int max_threads = 0;
   /// Comma-separated "host:port" worker endpoints (numeric IPv4 or
-  /// "localhost") — required by kRpc, ignored by the in-process kinds.
+  /// "localhost") — required by kRpc, ignored by kAsyncBatch.
   std::string workers_addr;
   /// TCP connect timeout per rpc worker endpoint.
   int connect_timeout_ms = 5000;
@@ -282,19 +277,24 @@ struct BackendOptions {
 
 /// Creates a backend of `kind`. Fails with a descriptive Status when the
 /// options are unusable for the kind (e.g. kRpc without workers_addr) or
-/// a remote worker cannot be reached; the in-process kinds always
-/// succeed.
+/// a remote worker cannot be reached; kAsyncBatch always succeeds.
 StatusOr<std::shared_ptr<ExecutionBackend>> MakeBackend(
     BackendKind kind, const BackendOptions& options);
 
-/// Convenience factory for the in-process kinds (thread/process/async),
-/// whose construction cannot fail. `max_threads` caps host-side
-/// concurrency for the thread and async backends (0 = hardware
-/// concurrency). CHECK-fails on kRpc — remote backends need endpoints and
-/// a real error path; use the BackendOptions overload.
+/// Convenience factory for the in-process kind (async), whose
+/// construction cannot fail. `max_threads` sizes its helper pool
+/// (0 = hardware concurrency). CHECK-fails on kRpc — remote backends need
+/// endpoints and a real error path; use the BackendOptions overload.
 std::shared_ptr<ExecutionBackend> MakeBackend(BackendKind kind,
                                               NetworkModel model,
                                               int max_threads = 0);
+
+/// The private backend behind a null `backend` option (MpqOptions,
+/// SmaOptions): an async backend that runs at most `max_threads` tasks at
+/// once, the submitting thread included (0 = hardware concurrency). So
+/// max_threads = 1 spawns no thread and runs every task inline.
+std::shared_ptr<ExecutionBackend> MakeDefaultBackend(NetworkModel model,
+                                                     int max_threads);
 
 }  // namespace mpqopt
 

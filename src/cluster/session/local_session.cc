@@ -2,7 +2,6 @@
 
 #include "cluster/session/local_session.h"
 
-#include <chrono>
 #include <utility>
 
 #include "common/macros.h"
@@ -65,8 +64,6 @@ StatusOr<RoundResult> LocalSessionHandle::Step(
   MPQOPT_CHECK(!closed_);
   if (!failed_.ok()) return failed_;
   counters_->rounds.fetch_add(1, std::memory_order_relaxed);
-  // Scatter steps are pure reads of the replicas, so they can ride the
-  // backend's own round machinery — including fork-per-task isolation.
   std::vector<WorkerTask> tasks;
   tasks.reserve(states_.size());
   for (std::unique_ptr<SessionState>& state : states_) {
@@ -84,34 +81,8 @@ StatusOr<RoundResult> LocalSessionHandle::Step(
 
 StatusOr<RoundResult> LocalSessionHandle::Broadcast(
     const std::vector<uint8_t>& payload) {
-  MPQOPT_CHECK(!closed_);
-  if (!failed_.ok()) return failed_;
-  counters_->rounds.fetch_add(1, std::memory_order_relaxed);
-  // Broadcasts mutate the replicas, so they run on the master-side state
-  // directly — never through a backend that might host the step in a
-  // forked child whose memory dies with it.
-  const size_t m = states_.size();
-  RoundResult result;
-  result.responses.resize(m);
-  result.compute_seconds.assign(m, 0.0);
   obs::Span round_span("session.round");
-  const auto round_start = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < m; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    StatusOr<std::vector<uint8_t>> response =
-        vtable_->step(states_[i].get(), payload);
-    const auto end = std::chrono::steady_clock::now();
-    if (!response.ok()) return Fail(response.status());
-    result.responses[i] = std::move(response).value();
-    result.compute_seconds[i] =
-        std::chrono::duration<double>(end - start).count();
-  }
-  const auto round_end = std::chrono::steady_clock::now();
-  result.wall_seconds =
-      std::chrono::duration<double>(round_end - round_start).count();
-  AccountRound(backend_->network(),
-               std::vector<size_t>(m, payload.size()), &result);
-  return result;
+  return Step(std::vector<std::vector<uint8_t>>(states_.size(), payload));
 }
 
 Status LocalSessionHandle::Close() {

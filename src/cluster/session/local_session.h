@@ -1,17 +1,13 @@
 // Copyright 2026 mpqopt authors.
 //
-// LocalSessionHandle — session hosting for the in-process backends.
+// LocalSessionHandle — session hosting for the in-process backend.
 //
 // The replicas live in the master process, exactly where SMA's per-node
-// state lived before the session protocol existed. Scatter steps route
-// through the owning backend's RunRound as closures over the replica
-// pointers, so the hosting choice (per-round threads, forked processes,
-// persistent async pool) still applies to the read-only per-round
-// computation; broadcasts — the mutating state transitions — execute
-// directly on the master-side replicas, which is what keeps
-// ProcessBackend correct (a mutation inside a forked child would die
-// with the child). State held in-process cannot be lost, so no replay
-// log is kept.
+// state lived before the session protocol existed. Every round — scatter
+// steps and broadcasts alike — routes through the owning backend's
+// RunRound as closures over the replica pointers; each task touches only
+// its own replica, so the round's tasks may run in parallel. State held
+// in-process cannot be lost, so no replay log is kept.
 
 #ifndef MPQOPT_CLUSTER_SESSION_LOCAL_SESSION_H_
 #define MPQOPT_CLUSTER_SESSION_LOCAL_SESSION_H_

@@ -78,6 +78,9 @@ class ByteWriter {
 
  private:
   void WriteRaw(const void* data, size_t n) {
+    // An empty source vector's data() may be null, and memcpy from null
+    // is undefined even for zero bytes.
+    if (n == 0) return;
     const size_t old = buffer_->size();
     buffer_->resize(old + n);
     std::memcpy(buffer_->data() + old, data, n);

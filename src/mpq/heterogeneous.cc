@@ -52,8 +52,8 @@ HeteroMpqOptimizer::HeteroMpqOptimizer(MpqOptions options,
                                        std::vector<double> speeds)
     : options_(std::move(options)), speeds_(std::move(speeds)) {
   if (options_.backend == nullptr) {
-    options_.backend = MakeBackend(BackendKind::kThread, options_.network,
-                                   options_.max_threads);
+    options_.backend =
+        MakeDefaultBackend(options_.network, options_.max_threads);
   }
 }
 

@@ -60,8 +60,8 @@ struct ShardPlanRef {
 
 MpqOptimizer::MpqOptimizer(MpqOptions options) : options_(std::move(options)) {
   if (options_.backend == nullptr) {
-    options_.backend = MakeBackend(BackendKind::kThread, options_.network,
-                                   options_.max_threads);
+    options_.backend =
+        MakeDefaultBackend(options_.network, options_.max_threads);
   }
 }
 

@@ -42,11 +42,13 @@ struct MpqOptions {
   uint64_t num_workers = 1;
   /// Simulated-cluster parameters.
   NetworkModel network;
-  /// Host-side thread cap for running worker tasks (0 = all cores); only
-  /// consulted when `backend` is null and a private backend is created.
+  /// Host-side cap on worker tasks running at once, the calling thread
+  /// included (0 = all cores); only consulted when `backend` is null and
+  /// a private backend is created.
   int max_threads = 0;
   /// Worker-execution runtime. Null (default) gives the optimizer a
-  /// private ThreadBackend built from `network` and `max_threads`. Pass a
+  /// private async backend with `max_threads` - 1 helper threads (see
+  /// MakeDefaultBackend), built from `network`. Pass a
   /// shared backend (see MakeBackend / OptimizerService) to multiplex
   /// many optimizer runs onto one long-lived worker pool; a non-null
   /// backend's own NetworkModel governs the simulated cluster time.

@@ -2,7 +2,7 @@
 //
 // The one shared percentile: sort-and-interpolate over a sample vector.
 // Every consumer of tail latency in the repo — the CLI batch report,
-// fig6/fig10, macrobench, and the bench JSON records — goes through this
+// fig10, macrobench, and the bench JSON records — goes through this
 // function, so "p99" means exactly the same rank statistic everywhere:
 // linear interpolation at rank q/100 * (n-1) over the sorted samples
 // (the same estimator NumPy calls "linear", its default).

@@ -51,8 +51,7 @@ StatusOr<SmaResult> SmaOptimize(const Query& query, const SmaOptions& options) {
   }
   std::shared_ptr<ExecutionBackend> backend = options.backend;
   if (backend == nullptr) {
-    backend = MakeBackend(BackendKind::kThread, options.network,
-                          /*max_threads=*/1);
+    backend = MakeDefaultBackend(options.network, /*max_threads=*/1);
   }
   const NetworkModel& net = backend->network();
 

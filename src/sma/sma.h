@@ -57,9 +57,10 @@ struct SmaOptions {
   NetworkModel network;
   /// Worker-execution runtime hosting the per-node replicas (any
   /// session-capable backend, including rpc). Null (default) uses a
-  /// private single-threaded ThreadBackend so per-chunk compute timing
-  /// stays unpolluted; a non-null backend's NetworkModel governs the
-  /// simulated transfer times.
+  /// private async backend with no helper threads (MakeDefaultBackend
+  /// with max_threads = 1): every task runs inline on the calling thread,
+  /// so per-chunk compute timing stays unpolluted. A non-null backend's
+  /// NetworkModel governs the simulated transfer times.
   std::shared_ptr<ExecutionBackend> backend;
   CostModelOptions cost_options;
   /// SMA materializes the full memo on every worker; refuse queries whose

@@ -2,21 +2,23 @@
 //
 // Backend-parameterized wire-contract tests: every ExecutionBackend must
 // produce byte-identical worker responses and consistent TrafficStats for
-// the same tasks — the property that makes the hosting choice (threads,
-// processes, persistent async pool, remote RPC workers) invisible to the
-// optimizers. The kRpc parameter self-hosts: the fixture spawns real
-// mpqopt_worker subprocesses on loopback, so the same assertions run over
-// actual sockets.
+// the same tasks — the property that makes the hosting choice (persistent
+// in-process pool or remote RPC workers) invisible to the optimizers. The
+// kRpc parameter self-hosts: the fixture spawns real mpqopt_worker
+// subprocesses on loopback, so the same assertions run over actual
+// sockets.
 
 #include "cluster/backend.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "catalog/generator.h"
 #include "cluster/async_batch_backend.h"
 #include "cluster/task_registry.h"
+#include "common/serialize.h"
 #include "mpq/mpq.h"
 #include "plan/plan_serde.h"
 #include "sma/sma.h"
@@ -141,6 +143,48 @@ TEST_P(BackendTest, WorkerMainWireContractIsByteIdentical) {
   EXPECT_EQ(round.value().traffic.messages, 2 * opts.num_workers);
 }
 
+TEST_P(BackendTest, TrafficCountsBothDirections) {
+  auto backend = MakeTestBackend();
+  StatusOr<RoundResult> round =
+      backend->RunRound({Echo(), Echo()}, {{1, 2, 3}, {4, 5}});
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  EXPECT_EQ(round.value().traffic.bytes_sent, 2u * (3 + 2));
+  EXPECT_EQ(round.value().traffic.messages, 4u);  // 2 requests + 2 replies
+}
+
+/// A SleepEchoTaskMain request: sleep `ms`, then echo one byte.
+std::vector<uint8_t> SleepRequest(uint32_t ms) {
+  ByteWriter writer;
+  writer.WriteU32(ms);
+  writer.WriteU8(7);
+  return writer.Release();
+}
+
+TEST_P(BackendTest, SimulatedTimeIsMaxNotSumOfWorkers) {
+  NetworkModel model;
+  model.task_setup_s = 0;
+  model.latency_s = 0;
+  auto backend = MakeTestBackend(model);
+  // Two tasks that each sleep ~30ms: modeled cluster time must reflect
+  // the slowest worker, not the serial sum.
+  StatusOr<RoundResult> round = backend->RunRound(
+      {WorkerTask(&SleepEchoTaskMain), WorkerTask(&SleepEchoTaskMain)},
+      {SleepRequest(30), SleepRequest(30)});
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  const double max_compute = std::max(round.value().compute_seconds[0],
+                                      round.value().compute_seconds[1]);
+  EXPECT_NEAR(round.value().simulated_seconds, max_compute, 0.02);
+}
+
+TEST_P(BackendTest, ComputeSecondsMeasuredPerTask) {
+  auto backend = MakeTestBackend();
+  StatusOr<RoundResult> round = backend->RunRound(
+      {Echo(), WorkerTask(&SleepEchoTaskMain)}, {{1}, SleepRequest(20)});
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  EXPECT_LT(round.value().compute_seconds[0], 0.01);
+  EXPECT_GE(round.value().compute_seconds[1], 0.019);
+}
+
 TEST_P(BackendTest, SimulatedTimeIncludesPerTaskSetup) {
   NetworkModel model;
   model.task_setup_s = 0.25;
@@ -215,7 +259,7 @@ TEST_P(BackendTest, ShardedFinalizeMatchesSerialOnEveryBackend) {
 TEST_P(BackendTest, SmaRunsOnEveryBackend) {
   // SMA's per-level computation runs through the session protocol
   // (cluster/session/), so its per-node memo replicas follow the
-  // backend: in-process state for the local kinds, remote replicas in
+  // backend: in-process state on the async backend, remote replicas in
   // mpqopt_worker processes for rpc — no skip, the result and byte
   // counts must not depend on the hosting choice.
   const Query q = MakeQuery(8, 419);
@@ -237,27 +281,24 @@ TEST_P(BackendTest, SmaRunsOnEveryBackend) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendTest,
-                         ::testing::Values(BackendKind::kThread,
-                                           BackendKind::kProcess,
-                                           BackendKind::kAsyncBatch,
+                         ::testing::Values(BackendKind::kAsyncBatch,
                                            BackendKind::kRpc),
                          [](const auto& info) {
                            return std::string(BackendKindName(info.param));
                          });
 
 TEST(BackendFactoryTest, ParseBackendKind) {
-  EXPECT_TRUE(ParseBackendKind("thread").ok());
-  EXPECT_TRUE(ParseBackendKind("process").ok());
-  EXPECT_TRUE(ParseBackendKind("async").ok());
-  EXPECT_TRUE(ParseBackendKind("rpc").ok());
   EXPECT_EQ(ParseBackendKind("async").value(), BackendKind::kAsyncBatch);
   EXPECT_EQ(ParseBackendKind("rpc").value(), BackendKind::kRpc);
-  const StatusOr<BackendKind> unknown = ParseBackendKind("spark");
-  ASSERT_FALSE(unknown.ok());
-  // The error enumerates every valid name.
-  for (const char* name : {"thread", "process", "async", "rpc"}) {
-    EXPECT_NE(unknown.status().message().find(name), std::string::npos)
-        << name;
+  EXPECT_EQ(BackendKindList(), "async|rpc");
+  // Unknown names, including the removed per-round thread pool and
+  // fork-per-task kinds, fail with a message listing every valid name.
+  for (const char* name : {"spark", "thread", "process"}) {
+    const StatusOr<BackendKind> unknown = ParseBackendKind(name);
+    ASSERT_FALSE(unknown.ok()) << name;
+    EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(unknown.status().message().find("async|rpc"), std::string::npos)
+        << unknown.status().ToString();
   }
 }
 
@@ -311,6 +352,50 @@ TEST(AsyncBatchBackendTest, ConcurrentRoundsFromManySubmitters) {
   }
 }
 
+TEST(AsyncBatchBackendTest, ZeroHelpersRunEveryTaskOnTheSubmitter) {
+  AsyncBatchBackend backend(NetworkModel{}, 0);
+  EXPECT_EQ(backend.pool_size(), 0);
+  // Each task reports whether it ran on the thread that submitted its
+  // round; two submitters share the backend and must both complete.
+  const auto submit = [&backend](int* inline_tasks, bool* ok) {
+    const std::thread::id submitter = std::this_thread::get_id();
+    const WorkerTask where =
+        [submitter](const std::vector<uint8_t>& r)
+        -> StatusOr<std::vector<uint8_t>> {
+      std::vector<uint8_t> response = r;
+      response.push_back(std::this_thread::get_id() == submitter ? 1 : 0);
+      return response;
+    };
+    *ok = true;
+    for (int round = 0; round < 50; ++round) {
+      StatusOr<RoundResult> r = backend.RunRound(
+          std::vector<WorkerTask>(4, where),
+          std::vector<std::vector<uint8_t>>(4, {static_cast<uint8_t>(round)}));
+      if (!r.ok()) {
+        *ok = false;
+        return;
+      }
+      for (const std::vector<uint8_t>& response : r.value().responses) {
+        *ok = *ok && response.size() == 2 &&
+              response[0] == static_cast<uint8_t>(round);
+        *inline_tasks += response.back();
+      }
+    }
+  };
+  int inline_a = 0;
+  int inline_b = 0;
+  bool ok_a = false;
+  bool ok_b = false;
+  std::thread a(submit, &inline_a, &ok_a);
+  std::thread b(submit, &inline_b, &ok_b);
+  a.join();
+  b.join();
+  EXPECT_TRUE(ok_a);
+  EXPECT_TRUE(ok_b);
+  EXPECT_EQ(inline_a, 50 * 4);
+  EXPECT_EQ(inline_b, 50 * 4);
+}
+
 TEST(AsyncBatchBackendTest, ErrorInOneRoundDoesNotPoisonOthers) {
   AsyncBatchBackend backend(NetworkModel{}, 2);
   const WorkerTask failing =
@@ -322,6 +407,25 @@ TEST(AsyncBatchBackendTest, ErrorInOneRoundDoesNotPoisonOthers) {
   StatusOr<RoundResult> good = backend.RunRound({Echo()}, {{2}});
   ASSERT_TRUE(good.ok());
   EXPECT_EQ(good.value().responses[0], std::vector<uint8_t>{2});
+}
+
+TEST(NetworkModelTest, TransferTimeFormula) {
+  NetworkModel model;
+  model.latency_s = 0.001;
+  model.bandwidth_bytes_per_s = 1000;
+  EXPECT_DOUBLE_EQ(model.TransferTime(500), 0.001 + 0.5);
+  EXPECT_DOUBLE_EQ(model.TransferTime(0), 0.001);
+}
+
+TEST(TrafficStatsTest, RecordAndMerge) {
+  TrafficStats a;
+  a.Record(100);
+  a.Record(50);
+  TrafficStats b;
+  b.Record(10);
+  a.Merge(b);
+  EXPECT_EQ(a.bytes_sent, 160u);
+  EXPECT_EQ(a.messages, 3u);
 }
 
 }  // namespace

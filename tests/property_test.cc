@@ -131,7 +131,9 @@ TEST_P(SeededProperty, CardinalityCutIdentity) {
     const double lhs = est.Cardinality(all);
     const double rhs = est.Cardinality(left) * est.Cardinality(right) *
                        est.ConnectingSelectivity(left, right);
-    if (rhs > 10) EXPECT_NEAR(lhs / rhs, 1.0, 1e-9);
+    if (rhs > 10) {
+      EXPECT_NEAR(lhs / rhs, 1.0, 1e-9);
+    }
   }
 }
 

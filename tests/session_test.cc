@@ -2,12 +2,10 @@
 //
 // Session-subsystem tests: the stateful-task registry, the worker-side
 // SessionStore (TTL GC, per-session byte cap, idempotent close), the
-// in-process LocalSessionHandle on every in-process backend (including
-// the fork-isolated ProcessBackend, whose broadcasts must mutate
-// master-side state), and the RpcSessionHandle over real loopback
-// workers — lifecycle, cross-backend traffic identity, reconnect +
-// replay recovery, node migration, and the byte-cap / TTL edges over
-// the wire.
+// in-process LocalSessionHandle on the async backend, and the
+// RpcSessionHandle over real loopback workers — lifecycle, cross-backend
+// traffic identity, reconnect + replay recovery, node migration, and the
+// byte-cap / TTL edges over the wire.
 
 #include "cluster/session/session.h"
 
@@ -251,9 +249,7 @@ TEST_P(SessionBackendTest, StatePersistsAcrossRoundsAndIsPerNode) {
   std::unique_ptr<SessionHandle>& session = session_or.value();
   EXPECT_EQ(session->num_nodes(), 3u);
 
-  // Broadcast mutates every replica; later steps must see it — on the
-  // process backend this is only true because broadcasts run on the
-  // master-side state, not in a forked child.
+  // Broadcast mutates every replica; later steps must see it.
   StatusOr<RoundResult> bcast = session->Broadcast(Append("+"));
   ASSERT_TRUE(bcast.ok()) << bcast.status().ToString();
   StatusOr<RoundResult> peek =
@@ -291,7 +287,7 @@ TEST_P(SessionBackendTest, TrafficAccountingMatchesAcrossBackends) {
     traffic.Merge(round.value().traffic);
     return traffic;
   };
-  auto reference = MakeBackend(BackendKind::kThread, NetworkModel{}, 1);
+  auto reference = MakeDefaultBackend(NetworkModel{}, /*max_threads=*/1);
   const TrafficStats expect = run(reference.get());
   auto backend = MakeTestBackend();
   const TrafficStats actual = run(backend.get());
@@ -321,9 +317,7 @@ TEST_P(SessionBackendTest, StepTaskErrorFailsTheRound) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SessionBackendTest,
-                         ::testing::Values(BackendKind::kThread,
-                                           BackendKind::kProcess,
-                                           BackendKind::kAsyncBatch,
+                         ::testing::Values(BackendKind::kAsyncBatch,
                                            BackendKind::kRpc),
                          [](const auto& info) {
                            return std::string(BackendKindName(info.param));

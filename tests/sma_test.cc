@@ -120,9 +120,7 @@ TEST_P(SmaBackendTest, BushySpaceMatchesSerialOptimum) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SmaBackendTest,
-                         ::testing::Values(BackendKind::kThread,
-                                           BackendKind::kProcess,
-                                           BackendKind::kAsyncBatch,
+                         ::testing::Values(BackendKind::kAsyncBatch,
                                            BackendKind::kRpc),
                          [](const auto& info) {
                            return std::string(BackendKindName(info.param));
@@ -215,7 +213,9 @@ TEST(SmaTest, NetworkGrowsExponentiallyWithQuerySize) {
     const Query q = RandomQuery(n, 73);
     StatusOr<SmaResult> r = SmaOptimize(q, Options(PlanSpace::kLinear, 4));
     ASSERT_TRUE(r.ok());
-    if (previous > 0) EXPECT_GT(r.value().network_bytes, 2 * previous);
+    if (previous > 0) {
+      EXPECT_GT(r.value().network_bytes, 2 * previous);
+    }
     previous = r.value().network_bytes;
   }
 }

@@ -53,7 +53,7 @@ struct CliOptions {
   double alpha = 10.0;
   std::string variant = "dp";
   int parametric_table = 0;
-  BackendKind backend = BackendKind::kThread;
+  BackendKind backend = BackendKind::kAsyncBatch;
   std::string workers_addr;
   int worker_retries = 2;
   int worker_backoff_ms = 50;
@@ -102,7 +102,8 @@ const FlagDoc kFlagDocs[] = {
      "distributed through stateful worker sessions)"},
     {"--parametric-table", "T", "parametric table for --variant=pqo"},
     {"--backend", nullptr /* filled from BackendKindList() */,
-     "worker-execution runtime"},
+     "worker-execution runtime (default async: a persistent in-process "
+     "pool; rpc: mpqopt_worker processes)"},
     {"--workers-addr", "HOST:PORT[,HOST:PORT...]",
      "rpc worker endpoints (required for --backend=rpc)"},
     {"--worker-retries", "N",
@@ -151,7 +152,6 @@ const FlagDoc kFlagDocs[] = {
      "flight recorder and obs.stalls_total (0 = off)"},
     {"--statz", nullptr,
      "dump the metrics registry (counters/gauges/histograms) on exit"},
-    {"--processes", nullptr, "alias for --backend=process"},
     {"--help", nullptr, "print this message"},
 };
 
@@ -351,9 +351,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
       }
     } else if (ParseFlag(argv[i], "--statz", &v)) {
       opts->statz = true;
-    } else if (ParseFlag(argv[i], "--processes", &v)) {
-      // Back-compat alias for --backend=process.
-      opts->backend = BackendKind::kProcess;
     } else if (std::strcmp(argv[i], "--help") == 0) {
       opts->help = true;
       return true;  // help wins over everything else on the line
